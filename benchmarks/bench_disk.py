@@ -50,6 +50,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from dataclasses import replace
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
@@ -61,6 +62,7 @@ from repro.core.vdoc import VectorizedDocument  # noqa: E402
 from repro.datasets.synth import xmark_like_xml  # noqa: E402
 from repro.repo import Repository  # noqa: E402
 from repro.storage import open_vdoc  # noqa: E402
+from repro.storage.buffer import IOStats  # noqa: E402
 from repro.util import Timer, fmt_table, human_count  # noqa: E402
 
 #: cold-path checksum overhead ceiling, and the shortest noverify
@@ -84,9 +86,8 @@ def _run_both(vdoc) -> float:
     return t.elapsed
 
 
-def _io_delta(pool, before: dict) -> dict:
-    now = pool.stats.as_dict()
-    return {k: now[k] - before[k] for k in before}
+def _io_delta(pool, before: IOStats) -> dict:
+    return pool.stats.diff(before).as_dict()
 
 
 #: shared-pool repository regime: member document sizes (people per doc)
@@ -415,25 +416,25 @@ def run(sizes, pool_pages, page_size, out_path, do_assert) -> int:
 
         # cold + small bounded pool
         disk = VectorizedDocument.open(path, pool_pages=pool_pages)
-        base = disk.pool.stats.as_dict()
+        base = replace(disk.pool.stats)
         t = _run_both(disk)
         regimes.append(("cold/small", t, _io_delta(disk.pool, base)))
 
         # warm columns, same small pool
-        base = disk.pool.stats.as_dict()
+        base = replace(disk.pool.stats)
         t = _run_both(disk)
         regimes.append(("warm/small", t, _io_delta(disk.pool, base)))
         disk.close()
 
         # cold + unbounded pool
         disk = VectorizedDocument.open(path, pool_pages=None)
-        base = disk.pool.stats.as_dict()
+        base = replace(disk.pool.stats)
         t = _run_both(disk)
         regimes.append(("cold/unbounded", t, _io_delta(disk.pool, base)))
 
         # pool-warm: drop the numpy columns, keep every page resident
         disk.drop_caches()
-        base = disk.pool.stats.as_dict()
+        base = replace(disk.pool.stats)
         t = _run_both(disk)
         regimes.append(("poolwarm/unbounded", t,
                         _io_delta(disk.pool, base)))
@@ -441,7 +442,7 @@ def run(sizes, pool_pages, page_size, out_path, do_assert) -> int:
 
         # cold again, checksums off: prices the format-v2 verification
         disk = open_vdoc(path, pool_pages=None, verify_checksums=False)
-        base = disk.pool.stats.as_dict()
+        base = replace(disk.pool.stats)
         t = _run_both(disk)
         regimes.append(("cold/noverify", t, _io_delta(disk.pool, base)))
         disk.close()

@@ -12,11 +12,15 @@ workload of paper §4) run two ways:
   Gr with stepwise hash-cons compression — zero decompression and at most
   one scan per touched vector, both machine-asserted by the engine.
 
-Two further regimes ride along: batched vs per-combo execution on
-many-path documents, and **index probes vs column scans** — selective
+Three further regimes ride along: batched vs per-combo execution on
+many-path documents; **index probes vs column scans** — selective
 queries on a disk-backed document with persistent value indexes, columns
 dropped between runs, asserting byte-identical answers and the
-``INDEXED_MIN_*`` speedup floors at the largest size.
+``INDEXED_MIN_*`` speedup floors at the largest size; and **join
+scaling** — only the vx side of the value joins, from 1,000 up to 16,000
+people, recording time and ``tracemalloc`` peak per size plus the fitted
+log-log slope that ``gate.py`` bounds (the naive side is quadratic, so
+the speedup ratio alone would hide a quadratic vx join).
 
 Answers are checked byte-identical (after serialization) before timing.
 Results go to BENCH_xq.json.  Exits nonzero if reduction does not beat
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
 import tempfile
+import tracemalloc
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
@@ -102,6 +108,65 @@ INDEXED_QUERIES = {
         "$p in /site/people/person where $p/name = 'name 7' "
         "and $c/buyer = $p/@id return <pair>{$c/price}</pair>"),
 }
+
+
+#: join scaling regime: value joins whose vx time must grow about linearly
+#: in the document (output-sensitive joins); answers are byte-checked
+#: against naive at the smallest size only — naive is quadratic
+JOIN_SCALING_QUERIES = ("XQ3-value-join", "XQ4-join-plus-selection")
+
+
+def loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    var = sum((x - mx) ** 2 for x in lx)
+    return sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / var
+
+
+def run_join_scaling_regime(sizes: list[int],
+                            repeat: int) -> tuple[list[dict], dict, dict]:
+    """Time the vx side of JOIN_SCALING_QUERIES per size; returns
+    (records, time slope per query, tracemalloc-peak slope per query)."""
+    records = []
+    print("\n== join scaling (vx only) ==")
+    for n_people in sizes:
+        vdoc = VectorizedDocument.from_xml(xmark_like_xml(n_people, seed=42))
+        for name in JOIN_SCALING_QUERIES:
+            xq = parse_xq(QUERIES[name])
+            res = eval_xq(vdoc, xq)
+            if n_people == min(sizes):
+                assert res.to_xml() == \
+                    eval_xq(vdoc, xq, mode="naive").to_xml(), name
+            t_vx = best_of(lambda: eval_xq(vdoc, xq), repeat)
+            tracemalloc.start()
+            try:
+                eval_xq(vdoc, xq)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"  n_people={n_people} {name}  vx {t_vx * 1e3:.1f}ms"
+                  f"  peak {peak / 2**20:.1f}MiB  tuples={res.n_tuples}")
+            records.append({
+                "n_people": n_people,
+                "query": name,
+                "result_tuples": res.n_tuples,
+                "t_vx_s": t_vx,
+                "peak_alloc_bytes": peak,
+            })
+
+    def slope(key: str) -> dict[str, float]:
+        return {name: round(loglog_slope(
+            [r["n_people"] for r in records if r["query"] == name],
+            [r[key] for r in records if r["query"] == name]), 3)
+            for name in JOIN_SCALING_QUERIES}
+
+    slopes, mem_slopes = slope("t_vx_s"), slope("peak_alloc_bytes")
+    print("  log-log slope: " + ", ".join(
+        f"{q} time {slopes[q]:.2f} / peak {mem_slopes[q]:.2f}"
+        for q in JOIN_SCALING_QUERIES))
+    return records, slopes, mem_slopes
 
 
 def run_indexed_regime(sizes: list[int], repeat: int,
@@ -213,7 +278,8 @@ def run_batched_regime(configs: list[tuple[int, int]], repeat: int,
 
 def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
         batched_configs: list[tuple[int, int]],
-        check_naive_batched: bool, indexed_sizes: list[int]) -> int:
+        check_naive_batched: bool, indexed_sizes: list[int],
+        scaling_sizes: list[int]) -> int:
     records = []
     for n_people in sizes:
         with Timer() as t_gen:
@@ -275,6 +341,9 @@ def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
         indexed_records, indexed_mins = run_indexed_regime(
             indexed_sizes, repeat, workdir)
 
+    scaling_records, slopes, mem_slopes = run_join_scaling_regime(
+        scaling_sizes, repeat)
+
     payload = {
         "bench": "xq_reduction_vs_naive",
         "version": __version__,
@@ -296,6 +365,12 @@ def run(sizes: list[int], repeat: int, out_path: str, do_assert: bool,
             "min_speedup_at_largest": indexed_mins,
             "thresholds": {"sel": INDEXED_MIN_SEL_SPEEDUP,
                            "join": INDEXED_MIN_JOIN_SPEEDUP},
+        },
+        "join_scaling_regime": {
+            "sizes_n_people": scaling_sizes,
+            "records": scaling_records,
+            "slopes": slopes,
+            "peak_alloc_slopes": mem_slopes,
         },
     }
     pathlib.Path(out_path).write_text(json.dumps(payload, indent=2) + "\n",
@@ -346,15 +421,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         batched_configs = [(200, 16), (500, 24)]
         indexed_sizes = [2000, 20000]
+        scaling_sizes = [1000, 2000, 4000]
     else:
         batched_configs = [(2000, 32), (4000, 48)]
         indexed_sizes = [2000, 8000, 20000]
+        scaling_sizes = [1000, 2000, 4000, 8000, 16000]
     do_assert = not (args.no_assert or args.smoke)
     # the naive nested-loop check of the cross-product query is quadratic;
     # only run it at smoke sizes
     return run(sizes, args.repeat, args.out, do_assert,
                batched_configs, check_naive_batched=args.smoke,
-               indexed_sizes=indexed_sizes)
+               indexed_sizes=indexed_sizes, scaling_sizes=scaling_sizes)
 
 
 if __name__ == "__main__":

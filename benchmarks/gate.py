@@ -31,6 +31,14 @@ regime in a ``BENCH_disk.json`` payload: the properties are absolute
 byte ratio within the recorded slack, zero decoded values on the
 dictionary-equality predicate vector, decode CPU under the recorded
 ceiling whenever the run was long enough to time) — no baseline needed.
+It also fails when any recorded ratio or hit rate anywhere in the
+payload lies outside [0, 1] (a ratio differenced like a counter).
+
+The default mode additionally re-asserts the **join scaling** regime of
+the fresh payload: the fitted log-log slope of vx join time against
+document size must stay at or below ``JOIN_SLOPE_MAX`` — the gate on
+asymptotics that speedup ratios alone cannot give (a quadratic join
+beside a quadratic naive side keeps a flat ratio).
 
 Usage::
 
@@ -49,6 +57,12 @@ import sys
 
 #: allowed geomean speedup regression before the gate fails (20%)
 GATE_TOLERANCE = 0.20
+
+#: largest allowed log-log slope of vx join time against document size
+JOIN_SLOPE_MAX = 1.3
+
+#: payload keys naming a derived ratio, which must lie in [0, 1]
+RATIO_SUFFIXES = ("hit_rate", "_ratio")
 
 #: regime -> (payload path, identifying record keys)
 REGIMES = {
@@ -135,10 +149,42 @@ def chaos_check(payload: dict) -> list[str]:
     return bad
 
 
+def ratio_violations(node, where: str = "") -> list[str]:
+    """Every numeric ratio / hit-rate field under ``node`` outside
+    [0, 1]."""
+    bad: list[str] = []
+    if isinstance(node, dict):
+        for k, v in node.items():
+            at = f"{where}.{k}" if where else k
+            if isinstance(v, (int, float)) and not isinstance(v, bool) \
+                    and k.endswith(RATIO_SUFFIXES) and not 0 <= v <= 1:
+                bad.append(f"{at} = {v} outside [0, 1]")
+            else:
+                bad.extend(ratio_violations(v, at))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            bad.extend(ratio_violations(v, f"{where}[{i}]"))
+    return bad
+
+
+def join_scaling_check(payload: dict,
+                       slope_max: float = JOIN_SLOPE_MAX) -> list[str]:
+    """Violations of the join-scaling bound in a ``bench_xq.py`` payload
+    (empty list = pass, also when the payload has no such regime)."""
+    regime = payload.get("join_scaling_regime")
+    if regime is None:
+        return []
+    slopes = regime.get("slopes")
+    if not slopes:
+        return ["join scaling regime records no slopes"]
+    return [f"{q}: join time slope {s:.2f} > {slope_max}"
+            for q, s in sorted(slopes.items()) if s > slope_max]
+
+
 def disk_check(payload: dict) -> list[str]:
     """Violations of the compression-regime properties recorded in a
     ``BENCH_disk.json`` payload (empty list = pass)."""
-    bad: list[str] = []
+    bad: list[str] = ratio_violations(payload)
     regime = payload.get("compression_regime")
     if not isinstance(regime, dict):
         return ["payload has no compression_regime "
@@ -230,6 +276,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gate: cannot load payloads: {exc}", file=sys.stderr)
         return 2
 
+    scaling_bad = join_scaling_check(fresh)
+    for b in scaling_bad:
+        print(f"gate: join scaling FAIL — {b}", file=sys.stderr)
+    slopes = fresh.get("join_scaling_regime", {}).get("slopes", {})
+    if slopes:
+        print("gate: join slopes " + ", ".join(
+            f"{q} {s:.2f}" for q, s in sorted(slopes.items()))
+            + f" (max {JOIN_SLOPE_MAX})")
     lines, ratios = compare(fresh, baseline)
     if not ratios:
         print("gate: FAIL — no common records between fresh and baseline "
@@ -245,6 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gate: FAIL — geomean speedup regressed by "
               f"{(1 - geo) * 100:.0f}% (> {args.tolerance * 100:.0f}% "
               f"tolerance)", file=sys.stderr)
+        return 1
+    if scaling_bad:
         return 1
     print("gate: ok")
     return 0

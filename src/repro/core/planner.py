@@ -57,11 +57,14 @@ class PlanOp:
     op_id: int = 0           # stable id from the query graph (tie-breaks)
     access: str = "scan"     # 'scan' | 'index' | 'dict'
     scan_cost: float = 0.0   # the scan estimate (== cost when scanning)
+    rows: float | None = None  # estimated output rows (joins)
 
     def __str__(self) -> str:
         est = f"est {self.cost:.0f}"
         if self.access != "scan":
             est += f", scan {self.scan_cost:.0f}"
+        if self.rows is not None:
+            est += f", rows {self.rows:.0f}"
         return f"{self.kind:11s} [{self.access:5s}] {self.payload}  ({est})"
 
 
@@ -71,9 +74,18 @@ class Plan:
     #: variable -> candidate concrete label paths (dataguide matches),
     #: computed once here and reused by combo enumeration in the reduction
     var_paths: dict[str, list[tuple]] = field(default_factory=dict)
+    #: variables grouped by the connected components of ``Gq`` (tree and
+    #: join edges); more than one means the reduction ends in a product
+    components: list[list[str]] = field(default_factory=list)
 
     def explain(self) -> str:
-        return "\n".join(f"{i + 1}. {op}" for i, op in enumerate(self.ops))
+        lines = [f"{i + 1}. {op}" for i, op in enumerate(self.ops)]
+        if len(self.components) > 1:
+            parts = " x ".join("{" + ", ".join(f"${v}" for v in c) + "}"
+                               for c in self.components)
+            lines.append(f"{len(lines) + 1}. {'product':11s} [     ] "
+                         f"{parts}  (disconnected query graph)")
+        return "\n".join(lines)
 
 
 def candidate_var_paths(gq: QueryGraph,
@@ -256,6 +268,44 @@ def _join_access(vdoc, join: EqEdge, var_paths, guide_set,
     return "scan", scan_cost
 
 
+def _join_rows(vdoc, join: EqEdge, var_paths, guide_set) -> float:
+    """Estimated output rows of one join: n₁·n₂ / max(u₁, u₂) for ``=``
+    (distinct counts from the value indexes; without one, a side's
+    distinct count falls back to its catalog total), the complement for
+    ``!=`` and an assumed band fraction for the ordering operators."""
+    n1 = _text_cardinality(vdoc, var_paths[join.var1], join.rel1)
+    n2 = _text_cardinality(vdoc, var_paths[join.var2], join.rel2)
+    if join.op not in ("=", "!="):
+        return n1 * n2 * RANGE_FRACTION
+    s1 = _probe_stats(vdoc, var_paths[join.var1], join.rel1, guide_set)
+    s2 = _probe_stats(vdoc, var_paths[join.var2], join.rel2, guide_set)
+    u1 = s1[1] if s1 is not None else n1
+    u2 = s2[1] if s2 is not None else n2
+    eq = n1 * n2 / max(u1, u2, 1.0)
+    return eq if join.op == "=" else n1 * n2 - eq
+
+
+def _components(gq: QueryGraph) -> list[list[str]]:
+    """The connected components of ``Gq`` over tree and join edges, each
+    in variable order, ordered by their first variable."""
+    root = {v: v for v in gq.variables}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    links = [(v, e.parent) for v, e in gq.tree_edges.items()
+             if e.parent is not None]
+    links += [(j.var1, j.var2) for j in gq.joins]
+    for a, b in links:
+        root[find(a)] = find(b)
+    groups: dict[str, list[str]] = {}
+    for v in gq.variables:
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
                use_codecs: bool = True) -> Plan:
     """Topological + heuristic operation ordering for one document.
@@ -281,13 +331,14 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
                                    scan, use_indexes=use_indexes,
                                    use_codecs=use_codecs)
         sel_plan[id(s)] = (access, cost, scan)
-    join_plan: dict[int, tuple[str, float, float]] = {}
+    join_plan: dict[int, tuple[str, float, float, float]] = {}
     for j in gq.joins:
         scan = (_text_cardinality(vdoc, var_paths[j.var1], j.rel1)
                 + _text_cardinality(vdoc, var_paths[j.var2], j.rel2))
         access, cost = (_join_access(vdoc, j, var_paths, guide_set, scan)
                         if use_indexes else ("scan", scan))
-        join_plan[id(j)] = (access, cost, scan)
+        join_plan[id(j)] = (access, cost, scan,
+                            _join_rows(vdoc, j, var_paths, guide_set))
 
     placed: set[str] = set()
     pending_sel = list(gq.selections)
@@ -316,9 +367,9 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
             ready.sort(key=lambda j: (join_plan[id(j)][1], join_id[id(j)]))
             j = ready[0]
             pending_join.remove(j)
-            access, cost, scan = join_plan[id(j)]
+            access, cost, scan, rows = join_plan[id(j)]
             ops.append(PlanOp("join", j, cost, op_id=join_id[id(j)],
-                              access=access, scan_cost=scan))
+                              access=access, scan_cost=scan, rows=rows))
 
     while pending_var:
         ready = [v for v in pending_var
@@ -338,4 +389,4 @@ def plan_query(gq: QueryGraph, vdoc, use_indexes: bool = True,
         flush_filters()
 
     assert not pending_sel and not pending_join
-    return Plan(ops, var_paths)
+    return Plan(ops, var_paths, _components(gq))

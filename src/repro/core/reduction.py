@@ -1,34 +1,52 @@
 """Graph reduction over extended vectors (paper §4.2) — the XQ hot path.
 
-The query graph ``Gq`` is evaluated collection-at-a-time: the state is a
-*tuple table* — one int64 occurrence-ordinal column per instantiated
-variable, all of equal length; a row is one candidate binding tuple.  The
-planner's operations reduce ``Gq`` edge by edge:
+The query graph ``Gq`` is evaluated collection-at-a-time.  The state is a
+list of **component tables**: each holds one int64 occurrence-ordinal
+column per variable it binds, all of equal length, so a row is one
+candidate binding of *those* variables.  Root variables stay in separate
+components until an edge connects them.  The planner's operations reduce
+``Gq`` edge by edge:
 
-* **instantiate** (tree edge) — root variables come from one vectorized
-  XPath evaluation; relative variables are a positional join:
-  ``extension_ranges`` + prefix-sum materialization, with the other
-  columns replicated by ``np.repeat``;
+* **instantiate** (tree edge) — a root variable starts a new component
+  from one vectorized XPath evaluation; a relative variable extends its
+  parent's component by a positional join: ``extension_ranges`` +
+  prefix-sum materialization, with the other columns replicated by
+  ``np.repeat``;
 * **select** (constant edge) — one vectorized comparison over the text
-  vector plus a prefix-sum existential per row;
-* **join** (equality edge) — existential set comparison per row, entirely
-  columnar (value codes from ``np.unique`` + key intersection for ``=`` /
-  ``!=``; per-row min/max aggregation for the ordering operators).
+  vector plus a prefix-sum existential per row of one component;
+* **join** (equality edge) — when both variables already share a
+  component, an existential set comparison per row filters it (shared
+  value codes matched per row for ``=`` / ``!=``; per-row min/max for
+  the ordering operators).  A join across two components *merges* them with
+  an output-sensitive join that never builds the cross product: ``=`` is
+  a sort-merge on shared value codes (merged index dictionaries under
+  ``access='index'``, else one ``np.unique`` over both sides), ``!=``
+  emits the non-empty pairs minus those whose sides hold the same single
+  value, and the ordering operators compare per-row min/max against a
+  sorted ``searchsorted`` band.  Work is O((n₁+n₂) log + output).
+
+Only components that no edge connects are combined, at the end, by an
+explicit cartesian product (``Plan.explain`` labels it).  Every expansion
+knows its output size before it allocates and passes a cooperative
+deadline checkpoint there.
 
 Variables range over *concrete* label paths, so a query with wildcard or
 descendant bindings is a union over concrete-path *combos* — one per
 assignment of variables to dataguide paths, exactly the paper's expansion
-of ``//`` against the skeleton.  The default executor is **batched**: the
-plan runs *once* over the union table, with a per-row combo-id column
-(``cid``) and one concrete path per (variable, combo).  Each operation
-partitions its rows by the distinct concrete paths involved — not by
-combo — so every full-column kernel (predicate mask, prefix sum) runs at
-most once per plan operation per vector no matter how many combos the
-dataguide yields; the :class:`~repro.core.context.EvalContext` counts
-those sweeps and the engine asserts the bound.  The pre-existing
-combo-at-a-time executor is kept as ``batched=False`` — it re-sweeps per
-combo and exists as the measured baseline of the batched benchmark
-regime.
+of ``//`` against the skeleton.  The combo set is the product of the
+per-tree combo sets (a relative variable's path depends only on its
+parent's), so each component carries a per-row combo id (``cid``) into
+the global combos *projected* onto its own variables; a merge pairs the
+projected ids and, once every variable is bound, they map back to the
+global ids.  The default executor is **batched**: the plan runs *once*
+over all combos.  Each operation partitions its rows by the distinct
+concrete paths involved — not by combo — so every full-column kernel
+(predicate mask, prefix sum) runs at most once per plan operation per
+vector no matter how many combos the dataguide yields; the
+:class:`~repro.core.context.EvalContext` counts those sweeps and the
+engine asserts the bound.  The pre-existing combo-at-a-time executor is
+kept as ``batched=False`` — it re-sweeps per combo and builds each
+combo's cross product — as the measured baseline.
 
 Each touched vector is loaded through the context's per-document cache
 (scanned at most once for the whole query) and the skeleton is never
@@ -213,18 +231,67 @@ class _SideResolver:
         return r1, g1, r2, g2, max(m, 1)
 
 
-class _BatchReducer(_SideResolver):
-    """One plan execution over the whole combo table.
+#: ordering operators -> their elementwise numpy comparison
+_ORDER_CMP = {"<": np.less, "<=": np.less_equal,
+              ">": np.greater, ">=": np.greater_equal}
 
-    Rows carry a combo id; every operation groups rows by the distinct
-    concrete path(s) it touches.  Full-column sweeps (mask + prefix sum)
-    are keyed by (plan operation, vector path) and cached, so each data
-    vector is swept at most once per plan operation across all combos —
-    the invariant ``EvalContext.check_passes`` asserts."""
+
+@dataclass
+class _Component:
+    """One connected piece of the batched reduction state.
+
+    Holds the ordinal columns of the variables it binds (all of equal
+    length — a row is one candidate binding of *those* variables) and a
+    per-row ``cid`` into the component's own combos: the global combos
+    projected onto its variables.  ``proj`` maps every global combo id to
+    its projected id, ``reps`` gives one representative global assignment
+    per projected id (the key source of :func:`_combo_groups`)."""
+
+    proj: np.ndarray
+    reps: list[dict]
+    cid: np.ndarray
+    cols: dict[str, np.ndarray]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.cid = self.cid[mask]
+        self.cols = {v: c[mask] for v, c in self.cols.items()}
+
+
+def _multi(rows: np.ndarray) -> bool:
+    """Does a sorted row-id array repeat a row (a multi-valued side)?"""
+    return bool(len(rows) > 1 and (rows[1:] == rows[:-1]).any())
+
+
+def _representatives(proj: np.ndarray, n_local: int,
+                     assigns: list[dict]) -> list[dict]:
+    """One global assignment per projected combo id (every id occurs:
+    the global combos are the product of the per-tree combos)."""
+    rep = np.zeros(n_local, dtype=np.int64)
+    rep[proj] = np.arange(len(proj), dtype=np.int64)
+    return [assigns[g] for g in rep]
+
+
+class _BatchReducer(_SideResolver):
+    """One plan execution over the whole combo table, kept as separate
+    component tables until an edge connects them.
+
+    Rows carry a per-component combo id; every operation groups rows by
+    the distinct concrete path(s) it touches.  Full-column sweeps (mask +
+    prefix sum) are keyed by (plan operation, vector path) and cached, so
+    each data vector is swept at most once per plan operation across all
+    combos — the invariant ``EvalContext.check_passes`` asserts."""
 
     def __init__(self, vdoc, ctx: EvalContext):
         super().__init__(vdoc, ctx)
         self._cums: dict[tuple, np.ndarray] = {}
+        #: the largest row set materialized so far (tables and join pairs)
+        self.peak_rows = 0
+
+    def _expanding(self, total: int) -> None:
+        """About to materialize ``total`` rows: account them, then the
+        cancellation point — the size is known, nothing is allocated."""
+        self.peak_rows = max(self.peak_rows, int(total))
+        self.ctx.checkpoint()
 
     def _cum_mask(self, op_idx: int, qpath: tuple, op: str,
                   value: str) -> np.ndarray:
@@ -237,45 +304,102 @@ class _BatchReducer(_SideResolver):
             self._cums[key] = cum
         return cum
 
-    # -- operations --------------------------------------------------------
+    # -- operand resolution --------------------------------------------------
 
-    def _instantiate(self, edge, assigns, cid, cols):
-        v = edge.var
-        if edge.parent is None:
-            ids_list = [np.asarray(a[v][1], dtype=np.int64) for a in assigns]
-            counts = np.array([len(x) for x in ids_list], dtype=np.int64)
-            flat = (np.concatenate(ids_list) if ids_list
-                    else np.empty(0, dtype=np.int64))
-            offs = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(counts)))
-            m = counts[cid]
-            cols = {u: np.repeat(c, m) for u, c in cols.items()}
-            cols[v] = flat[ranges_to_ordinals(offs[cid], m)]
-            return np.repeat(cid, m), cols
-        # relative binding: positional join, grouped by the distinct
-        # (parent path, own path) pairs — not by combo
-        p = edge.parent
-        n = len(cid)
+    def _operand(self, comp: _Component, var: str, rel: tuple):
+        """Resolve one comparison operand over a component's rows: the
+        per-row extension lengths plus ``(expanded row ids, qpath,
+        ordinals)`` parts, one per distinct concrete path."""
+        lengths_all = np.zeros(len(comp.cid), dtype=np.int64)
+        parts = []
+        for rows, a in _combo_groups(comp.cid, comp.reps,
+                                     key=lambda a: a[var][0]):
+            side = self._side(a[var][0], comp.cols[var][rows], rel)
+            if side is None:
+                continue
+            qpath, s, ln = side
+            lengths_all[rows] = ln
+            parts.append((np.repeat(rows, ln), qpath,
+                          ranges_to_ordinals(s, ln)))
+        return lengths_all, parts
+
+    def _codes(self, parts1, parts2, access: str):
+        """``(r1, g1, r2, g2, m)``: row ids and shared-space value codes
+        of both operands — merged index dictionaries under
+        ``access='index'``, otherwise ONE ``np.unique`` over the gathered
+        values of both sides — O((n₁+n₂) log), never O(n₁·n₂)."""
+        coded = self._index_join_codes(parts1, parts2, access)
+        if coded is not None:
+            return coded
+
+        def gather(parts):
+            if not parts:
+                return _EMPTY, np.empty(0, dtype=np.str_)
+            return (np.concatenate([p[0] for p in parts]),
+                    np.concatenate([self.cache.column(q)[o]
+                                    for _, q, o in parts]))
+
+        r1, v1 = gather(parts1)
+        r2, v2 = gather(parts2)
+        uniq, codes = np.unique(np.concatenate([v1, v2]),
+                                return_inverse=True)
+        codes = codes.reshape(-1)
+        return r1, codes[: len(v1)], r2, codes[len(v1):], max(len(uniq), 1)
+
+    def _extrema(self, parts, n: int, use_min: bool):
+        """Per-row min (or max) of an operand's numeric values — fmin/fmax
+        skip NaN, i.e. non-numeric text — plus the per-row "holds a
+        number" flag.  The existential ordering comparison of two value
+        sets reduces to one comparison of these aggregates."""
+        agg = np.full(n, np.inf if use_min else -np.inf)
+        num = np.zeros(n, dtype=bool)
+        for r, q, o in parts:
+            v = self.cache.floats(q)[o]
+            (np.fmin if use_min else np.fmax).at(agg, r, v)
+            num[r[~np.isnan(v)]] = True
+        return agg, num
+
+    # -- operations within one component -------------------------------------
+
+    def _root(self, var: str, proj: np.ndarray, n_local: int,
+              assigns: list[dict]) -> _Component:
+        """Instantiate a root variable: a new component whose rows are the
+        variable's ordinals, one block per projected combo of its tree."""
+        reps = _representatives(proj, n_local, assigns)
+        ids_list = [np.asarray(a[var][1], dtype=np.int64) for a in reps]
+        counts = np.array([len(x) for x in ids_list], dtype=np.int64)
+        self._expanding(counts.sum())
+        cid = np.repeat(np.arange(n_local, dtype=np.int64), counts)
+        return _Component(proj, reps, cid, {var: np.concatenate(ids_list)})
+
+    def _relative(self, edge, comp: _Component) -> None:
+        """Relative binding: positional join, grouped by the distinct
+        (parent path, own path) pairs — not by combo."""
+        v, p = edge.var, edge.parent
+        n = len(comp.cid)
         starts_all = np.zeros(n, dtype=np.int64)
         lengths_all = np.zeros(n, dtype=np.int64)
-        for rows, a in _combo_groups(cid, assigns,
+        for rows, a in _combo_groups(comp.cid, comp.reps,
                                      key=lambda a: (a[p][0], a[v][0])):
             pcp = a[p][0]
             rel = a[v][0][len(pcp):]
             starts, lengths = self.catalog.extension_ranges(
-                pcp, cols[p][rows], rel)
+                pcp, comp.cols[p][rows], rel)
             starts_all[rows] = starts
             lengths_all[rows] = lengths
-        cols = {u: np.repeat(c, lengths_all) for u, c in cols.items()}
-        cols[v] = ranges_to_ordinals(starts_all, lengths_all)
-        return np.repeat(cid, lengths_all), cols
+        self._expanding(lengths_all.sum())
+        comp.cols = {u: np.repeat(c, lengths_all)
+                     for u, c in comp.cols.items()}
+        comp.cols[v] = ranges_to_ordinals(starts_all, lengths_all)
+        comp.cid = np.repeat(comp.cid, lengths_all)
 
-    def _select(self, op_idx, sel: ConstEdge, assigns, cid, cols,
+    def _select(self, op_idx, sel: ConstEdge, comp: _Component,
                 access: str = "scan"):
-        keep = np.zeros(len(cid), dtype=bool)
-        for rows, a in _combo_groups(cid, assigns,
+        keep = np.zeros(len(comp.cid), dtype=bool)
+        for rows, a in _combo_groups(comp.cid, comp.reps,
                                      key=lambda a: a[sel.var][0]):
-            side = self._side(a[sel.var][0], cols[sel.var][rows], sel.rel)
+            side = self._side(a[sel.var][0], comp.cols[sel.var][rows],
+                              sel.rel)
             if side is None:
                 continue
             qpath, starts, lengths = side
@@ -290,55 +414,16 @@ class _BatchReducer(_SideResolver):
             keep[rows] = cum[starts + lengths] > cum[starts]
         return keep
 
-    def _join_sides(self, join: EqEdge, assigns, cid, cols):
-        """Resolve both operands over all rows: per side, the per-row
-        extension lengths plus ``(expanded row ids, qpath, ordinals)``
-        parts, one per distinct concrete path."""
-        n = len(cid)
-        sides = []
-        for var, rel in ((join.var1, join.rel1), (join.var2, join.rel2)):
-            lengths_all = np.zeros(n, dtype=np.int64)
-            parts = []
-            for rows, a in _combo_groups(cid, assigns,
-                                         key=lambda a, var=var: a[var][0]):
-                side = self._side(a[var][0], cols[var][rows], rel)
-                if side is None:
-                    continue
-                qpath, s, ln = side
-                lengths_all[rows] = ln
-                parts.append((np.repeat(rows, ln), qpath,
-                              ranges_to_ordinals(s, ln)))
-            sides.append((lengths_all, parts))
-        return sides
-
-    def _join(self, op_idx, join: EqEdge, assigns, cid, cols,
-              access: str = "scan"):
-        n = len(cid)
-        (l1, parts1), (l2, parts2) = self._join_sides(join, assigns,
-                                                      cid, cols)
+    def _join_keep(self, join: EqEdge, comp: _Component,
+                   access: str = "scan"):
+        """A join whose variables already share a component filters its
+        rows: the existential comparison per row, entirely columnar."""
+        n = len(comp.cid)
+        l1, parts1 = self._operand(comp, join.var1, join.rel1)
+        l2, parts2 = self._operand(comp, join.var2, join.rel2)
         op = join.op
         if op in ("=", "!="):
-            coded = self._index_join_codes(parts1, parts2, access)
-            if coded is not None:
-                r1, g1, r2, g2, m = coded
-            else:
-                # gather both sides (row-proportional work), then ONE
-                # global value coding + key intersection across every
-                # combo at once
-                r1 = (np.concatenate([p[0] for p in parts1])
-                      if parts1 else np.empty(0, dtype=np.int64))
-                r2 = (np.concatenate([p[0] for p in parts2])
-                      if parts2 else np.empty(0, dtype=np.int64))
-                v1 = (np.concatenate([self.cache.column(q)[o]
-                                      for _, q, o in parts1])
-                      if parts1 else np.empty(0, dtype=np.str_))
-                v2 = (np.concatenate([self.cache.column(q)[o]
-                                      for _, q, o in parts2])
-                      if parts2 else np.empty(0, dtype=np.str_))
-                uniq, codes = np.unique(np.concatenate([v1, v2]),
-                                        return_inverse=True)
-                m = max(len(uniq), 1)
-                g1, g2 = codes[: len(v1)], codes[len(v1):]
+            r1, g1, r2, g2, m = self._codes(parts1, parts2, access)
             k1 = r1 * m + g1
             k2 = r2 * m + g2
             if op == "=":
@@ -349,55 +434,166 @@ class _BatchReducer(_SideResolver):
             distinct = np.bincount(
                 np.unique(np.concatenate([k1, k2])) // m, minlength=n)
             return (l1 > 0) & (l2 > 0) & (distinct >= 2)
-
-        # ordering operators: existential reduces to min/max of the numeric
-        # values per row (fmin/fmax skip NaN = non-numeric text), aggregated
-        # globally across all combos in one accumulator pair
         lo1 = op in ("<", "<=")
-        a1 = np.full(n, np.inf if lo1 else -np.inf)
-        a2 = np.full(n, -np.inf if lo1 else np.inf)
-        num1 = np.zeros(n, dtype=bool)
-        num2 = np.zeros(n, dtype=bool)
-        for r, q, o in parts1:
-            v = self.cache.floats(q)[o]
-            (np.fmin if lo1 else np.fmax).at(a1, r, v)
-            num1 |= np.bincount(r[~np.isnan(v)], minlength=n) > 0
-        for r, q, o in parts2:
-            v = self.cache.floats(q)[o]
-            (np.fmax if lo1 else np.fmin).at(a2, r, v)
-            num2 |= np.bincount(r[~np.isnan(v)], minlength=n) > 0
-        if op == "<":
-            keep = a1 < a2
-        elif op == "<=":
-            keep = a1 <= a2
-        elif op == ">":
-            keep = a1 > a2
+        a1, num1 = self._extrema(parts1, n, lo1)
+        a2, num2 = self._extrema(parts2, n, not lo1)
+        return _ORDER_CMP[op](a1, a2) & num1 & num2
+
+    # -- merging two components ----------------------------------------------
+
+    def _merge_join(self, join: EqEdge, c1: _Component, c2: _Component,
+                    access: str = "scan"):
+        """A join across two components: the matching ``(row₁, row₂)``
+        pairs, found without the cross product.
+
+        ``=`` is a sort-merge on shared value codes (side 2 sorted by
+        code, one ``searchsorted`` range per distinct side-1 (row, code)
+        pair); ``!=`` emits every non-empty pair except those whose sides
+        hold the same single value (two ranges per side-1 row around that
+        value's block); the ordering operators compare per-row min/max
+        against a sorted band.  Work is O((n₁+n₂) log + output)."""
+        _, parts1 = self._operand(c1, join.var1, join.rel1)
+        _, parts2 = self._operand(c2, join.var2, join.rel2)
+        op = join.op
+        if op in ("=", "!="):
+            r1, g1, r2, g2, m = self._codes(parts1, parts2, access)
+            # distinct (row, code) pairs, sorted by row: a row holding a
+            # value twice must not emit a pair twice
+            k1 = np.unique(r1 * m + g1)
+            k2 = np.unique(r2 * m + g2)
+            r1, g1 = k1 // m, k1 % m
+            r2, g2 = k2 // m, k2 % m
+            if op == "=":
+                order = np.argsort(g2, kind="stable")
+                g2s, r2s = g2[order], r2[order]
+                lo = np.searchsorted(g2s, g1, side="left")
+                cnt = np.searchsorted(g2s, g1, side="right") - lo
+                self._expanding(cnt.sum())
+                i1 = np.repeat(r1, cnt)
+                i2 = r2s[ranges_to_ordinals(lo, cnt)]
+                if _multi(r1) and _multi(r2):
+                    # several shared values per row on both sides: one
+                    # pair per (row₁, row₂), existential semantics
+                    key = np.unique(i1 * len(c2.cid) + i2)
+                    i1, i2 = key // len(c2.cid), key % len(c2.cid)
+                return i1, i2
+            # ∃ a≠b  ⟺  both non-empty, unless both hold one same value
+            rows1, first1, n1 = np.unique(r1, return_index=True,
+                                          return_counts=True)
+            rows2, first2, n2 = np.unique(r2, return_index=True,
+                                          return_counts=True)
+            code1 = np.where(n1 == 1, g1[first1], -2)   # -2: matches none
+            code2 = np.where(n2 == 1, g2[first2], -1)   # -1: multi block
+            order = np.argsort(code2, kind="stable")
+            code2, rows2 = code2[order], rows2[order]
+            lo = np.searchsorted(code2, code1, side="left")
+            hi = np.searchsorted(code2, code1, side="right")
+            starts = np.stack([np.zeros_like(hi), hi], axis=1).reshape(-1)
+            lens = np.stack([lo, len(rows2) - hi], axis=1).reshape(-1)
+            self._expanding(lens.sum())
+            i1 = np.repeat(rows1, lo + len(rows2) - hi)
+            return i1, rows2[ranges_to_ordinals(starts, lens)]
+        lo1 = op in ("<", "<=")
+        a1, num1 = self._extrema(parts1, len(c1.cid), lo1)
+        a2, num2 = self._extrema(parts2, len(c2.cid), not lo1)
+        rows1, rows2 = np.flatnonzero(num1), np.flatnonzero(num2)
+        v1 = a1[rows1]
+        order = np.argsort(a2[rows2], kind="stable")
+        v2, rows2 = a2[rows2][order], rows2[order]
+        if op in ("<", "<="):
+            # a1 < a2 (<=): the band of side-2 values above a1
+            lo = np.searchsorted(v2, v1, side="right" if op == "<"
+                                 else "left")
+            cnt = len(v2) - lo
         else:
-            keep = a1 >= a2
-        return keep & num1 & num2
+            # a1 > a2 (>=): the band of side-2 values below a1
+            cnt = np.searchsorted(v2, v1, side="left" if op == ">"
+                                  else "right")
+            lo = np.zeros_like(cnt)
+        self._expanding(cnt.sum())
+        return np.repeat(rows1, cnt), rows2[ranges_to_ordinals(lo, cnt)]
+
+    def _merge(self, c1: _Component, c2: _Component, i1: np.ndarray,
+               i2: np.ndarray, assigns: list[dict]) -> _Component:
+        """The component of the row pairs ``(i1, i2)``; its combos are
+        the pairs of projected combos, ``id₁ · |combos₂| + id₂``."""
+        m2 = len(c2.reps)
+        proj = c1.proj * m2 + c2.proj
+        cols = {u: c[i1] for u, c in c1.cols.items()}
+        cols.update({u: c[i2] for u, c in c2.cols.items()})
+        return _Component(
+            proj, _representatives(proj, len(c1.reps) * m2, assigns),
+            c1.cid[i1] * m2 + c2.cid[i2], cols)
 
     # -- the one plan execution --------------------------------------------
 
     def run(self, plan: Plan, gq: QueryGraph, assigns: list[dict]):
-        cid = np.arange(len(assigns), dtype=np.int64)
-        cols: dict[str, np.ndarray] = {}
+        """Execute the plan; returns ``(global combo id, columns)`` per
+        surviving row."""
+        if not assigns:
+            return _EMPTY, {}
+        # each root variable's tree (itself + relative descendants) starts
+        # one component; project the global combos onto every tree
+        root_of: dict[str, str] = {}
+        for v in gq.variables:
+            parent = gq.tree_edges[v].parent
+            root_of[v] = v if parent is None else root_of[parent]
+        tree_proj: dict[str, tuple[np.ndarray, int]] = {}
+        for r in gq.variables:
+            if r != root_of[r]:
+                continue
+            tvars = [v for v in gq.variables if root_of[v] == r]
+            ids: dict[tuple, int] = {}
+            proj = np.array([ids.setdefault(tuple(a[v][0] for v in tvars),
+                                             len(ids)) for a in assigns],
+                            dtype=np.int64)
+            tree_proj[r] = (proj, len(ids))
+
+        comp_of: dict[str, _Component] = {}
         for op_idx, op in enumerate(plan.ops):
-            if len(cid) == 0:
-                break
             self.ctx.checkpoint()   # cancellation point between plan ops
             edge = op.payload
             if op.kind == "instantiate":
-                cid, cols = self._instantiate(edge, assigns, cid, cols)
-            else:
-                if op.kind == "select":
-                    keep = self._select(op_idx, edge, assigns, cid, cols,
-                                        op.access)
+                if edge.parent is None:
+                    comp = self._root(edge.var, *tree_proj[edge.var],
+                                      assigns)
                 else:
-                    keep = self._join(op_idx, edge, assigns, cid, cols,
-                                      op.access)
-                cid = cid[keep]
-                cols = {v: c[keep] for v, c in cols.items()}
-        return cid, cols
+                    comp = comp_of[edge.parent]
+                    self._relative(edge, comp)
+                comp_of[edge.var] = comp
+            elif op.kind == "select":
+                comp = comp_of[edge.var]
+                comp.keep(self._select(op_idx, edge, comp, op.access))
+            elif comp_of[edge.var1] is comp_of[edge.var2]:
+                comp = comp_of[edge.var1]
+                comp.keep(self._join_keep(edge, comp, op.access))
+            else:
+                c1, c2 = comp_of[edge.var1], comp_of[edge.var2]
+                i1, i2 = self._merge_join(edge, c1, c2, op.access)
+                comp = self._merge(c1, c2, i1, i2, assigns)
+                for v in comp.cols:
+                    comp_of[v] = comp
+            if len(comp.cid) == 0:
+                return _EMPTY, {}
+
+        # components no edge connects: the one explicit cartesian product,
+        # over the components the plan reports (and explains) as such
+        comps = [comp_of[vs[0]] for vs in plan.components]
+        assert sorted(sorted(c.cols) for c in comps) == \
+            sorted(sorted(vs) for vs in plan.components) and \
+            len({id(c) for c in comps}) == len(comps), \
+            "reduction components diverge from plan.components"
+        comp = comps[0]
+        for other in comps[1:]:
+            n1, n2 = len(comp.cid), len(other.cid)
+            self._expanding(n1 * n2)
+            i1 = np.repeat(np.arange(n1, dtype=np.int64), n2)
+            i2 = np.tile(np.arange(n2, dtype=np.int64), n1)
+            comp = self._merge(comp, other, i1, i2, assigns)
+        # every variable is bound now: projected ids are global ids
+        glob = np.empty(len(assigns), dtype=np.int64)
+        glob[comp.proj] = np.arange(len(assigns), dtype=np.int64)
+        return glob[comp.cid], comp.cols
 
 
 class _ComboReducer(_SideResolver):
@@ -582,10 +778,13 @@ def reduce_query(vdoc, gq: QueryGraph, plan: Plan,
 
     if batched:
         cid, cols = _BatchReducer(vdoc, ctx).run(plan, gq, assigns)
+        order = np.argsort(cid, kind="stable")
+        bounds = np.searchsorted(cid[order],
+                                 np.arange(len(assigns) + 1))
         raw = []
         for ci in range(len(assigns)):
             ctx.checkpoint()
-            rows = np.flatnonzero(cid == ci)
+            rows = order[bounds[ci]:bounds[ci + 1]]
             if len(rows) == 0:
                 continue
             a = assigns[ci]

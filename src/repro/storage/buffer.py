@@ -74,7 +74,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import PoolExhaustedError, StorageError
 from .disk import PageFile
@@ -128,6 +128,14 @@ class IOStats:
         signal — lower is better, 1.0 means identity storage."""
         return self.physical_bytes / self.logical_bytes \
             if self.logical_bytes else 1.0
+
+    def diff(self, before: "IOStats") -> "IOStats":
+        """The counters accumulated since the ``before`` snapshot (take
+        one with :func:`dataclasses.replace`).  Only counters are
+        subtracted; the ratios of the result are derived from the
+        differenced counters, so they stay in [0, 1]."""
+        return IOStats(**{f.name: getattr(self, f.name)
+                          - getattr(before, f.name) for f in fields(self)})
 
     def as_dict(self) -> dict:
         return {

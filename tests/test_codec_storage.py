@@ -8,6 +8,7 @@ file (exact answer or located StorageError, never wrong bytes)."""
 
 import random
 import shutil
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.vdoc import VectorizedDocument
 from repro.errors import StorageError
 from repro.repo import Repository
 from repro.repo.repository import RepositoryError, _check_manifest
+from repro.storage.buffer import IOStats
 from repro.storage.fsck import verify_vdoc
 
 CAT = ("r", "items", "it", "cat", "#")
@@ -187,6 +189,31 @@ def test_iostats_compression_accounting(saved):
         for key in ("logical_bytes", "physical_bytes", "decoded_values",
                     "compression_ratio"):
             assert key in d
+
+
+def test_iostats_diff_subtracts_counters_and_rederives_ratios():
+    """Differencing two snapshots subtracts counters only; the ratios of
+    the interval come from the interval's own counters (subtracting a
+    ratio like a counter is how a negative compression ratio once got
+    published)."""
+    before = IOStats(hits=6, misses=2, pages_read=2, logical_bytes=1000,
+                     physical_bytes=500, decoded_values=5)
+    now = replace(before, hits=7, misses=5, pages_read=5,
+                  logical_bytes=2000, physical_bytes=600,
+                  decoded_values=9, evictions=1)
+    d = now.diff(before)
+    assert (d.hits, d.misses, d.pages_read, d.evictions) == (1, 3, 3, 1)
+    assert (d.logical_bytes, d.physical_bytes, d.decoded_values) == \
+        (1000, 100, 4)
+    assert d.hit_rate() == pytest.approx(0.25)
+    assert d.compression_ratio() == pytest.approx(0.1)
+    # the naive subtraction of the derived ratios would go negative here
+    assert now.compression_ratio() - before.compression_ratio() < 0
+    # an idle interval: zero counters, neutral ratios
+    idle = now.diff(replace(now)).as_dict()
+    assert idle["pages_read"] == 0 and idle["hit_rate"] == 0.0
+    assert idle["compression_ratio"] == 1.0
+    assert before.hits == 6   # the snapshot is untouched
 
 
 def test_v4_cold_pages_track_compression_ratio(saved):

@@ -190,3 +190,45 @@ def test_committed_disk_baseline_self_checks():
     committed = pathlib.Path(BENCHMARKS).parent / "BENCH_disk.json"
     payload = json.loads(committed.read_text("utf-8"))
     assert gate.disk_check(payload) == []
+
+
+def test_disk_check_fails_on_out_of_range_ratio(tmp_path, capsys):
+    """A ratio differenced like a counter (negative) or any recorded
+    rate above 1 fails the disk gate wherever it sits in the payload."""
+    for bad in (-0.47, 1.5):
+        payload = _disk_payload()
+        payload["records"] = [{"regime": "cold/small",
+                               "io_compression_ratio": bad,
+                               "io_hit_rate": 0.5}]
+        p = _write(tmp_path, "disk.json", payload)
+        assert gate.main([p, "--disk-check"]) == 1
+        err = capsys.readouterr().err
+        assert "records[0].io_compression_ratio" in err and "[0, 1]" in err
+    payload["records"][0]["io_compression_ratio"] = 0.4
+    assert gate.disk_check(payload) == []
+
+
+def _scaling(payload, **slopes):
+    payload["join_scaling_regime"] = {"records": [], "slopes": slopes}
+    return payload
+
+
+def test_join_scaling_slope_gate(tmp_path, capsys):
+    base = _payload(10.0, 5.0)
+    ok = _scaling(_payload(10.0, 5.0), **{"XQ3-value-join": 0.9})
+    assert _run(tmp_path, ok, base) == 0
+    assert "join slopes" in capsys.readouterr().out
+    steep = _scaling(_payload(10.0, 5.0), **{"XQ3-value-join": 0.9,
+                                             "XQ4-join-plus-selection": 1.9})
+    assert _run(tmp_path, steep, base) == 1
+    assert "XQ4-join-plus-selection" in capsys.readouterr().err
+    # a regime that recorded nothing is a failure, not a pass
+    assert gate.join_scaling_check(_scaling(_payload(1, 1)))
+    assert gate.join_scaling_check(_payload(1, 1)) == []
+
+
+def test_committed_join_scaling_within_bound():
+    committed = pathlib.Path(BENCHMARKS).parent / "BENCH_xq.json"
+    payload = json.loads(committed.read_text("utf-8"))
+    assert payload["join_scaling_regime"]["slopes"]
+    assert gate.join_scaling_check(payload) == []

@@ -3,8 +3,10 @@ compilation and the heuristic planner's operation ordering."""
 
 import pytest
 
+from repro.core.engine import eval_xq
 from repro.core.planner import plan_query
 from repro.core.qgraph import ConstEdge, EqEdge, compile_query
+from repro.core.reduction import reduce_query
 from repro.core.vdoc import VectorizedDocument
 from repro.core.xpath.ast import CHILD, DESCENDANT
 from repro.core.xquery import (
@@ -151,6 +153,53 @@ def test_planner_selections_before_joins():
     # $p carries the only selection, so it is instantiated first
     assert plan.ops[0].payload.var == "p"
     assert "select" in plan.explain() and "join" in plan.explain()
+
+
+def test_planner_join_row_estimates_and_product_step():
+    """Join ops carry an output-row estimate close to what the join
+    produces (n₁·n₂ / max distinct; catalog totals without an index),
+    and only a disconnected query graph gets a ``product`` step."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(400, seed=2))
+    join_q = ("for $c in /site/closed_auctions/closed_auction, "
+              "$p in /site/people/person where $c/buyer = $p/@id "
+              "return <r>{$p/name}</r>")
+    for indexed in (False, True):
+        if indexed:
+            vdoc.build_indexes()
+        gq, _ = compile_query(parse_xq(join_q))
+        plan = plan_query(gq, vdoc)
+        join = [op for op in plan.ops if op.kind == "join"][0]
+        actual = eval_xq(vdoc, join_q).n_tuples
+        assert actual / 2 <= join.rows <= actual * 2, (join.rows, actual)
+        assert f"rows {join.rows:.0f}" in plan.explain()
+        assert "product" not in plan.explain()
+        assert plan.components == [["c", "p"]]
+    gq, _ = compile_query(parse_xq(
+        "for $c in //closed_auction, $p in //person, $i in $p/profile "
+        "where $p/@id = 'person3' return <r>{$c/price}</r>"))
+    plan = plan_query(gq, vdoc)
+    assert plan.components == [["c"], ["p", "i"]]
+    last = plan.explain().splitlines()[-1]
+    assert last.startswith(f"{len(plan.ops) + 1}. product")
+    assert "{$c} x {$p, $i}" in last
+    assert all(op.rows is None for op in plan.ops)
+
+
+def test_reducer_product_operands_come_from_plan_components():
+    """The final product is taken over ``plan.components`` — the groups
+    ``--plan`` explains — and the reducer refuses a plan whose groups
+    differ from the ones its merges produced."""
+    vdoc = VectorizedDocument.from_xml(xmark_like_xml(40, seed=3))
+    q = ("for $c in //closed_auction, $p in //person, $i in $p/profile "
+         "where $p/@id = 'person3' return <r>{$c/price}</r>")
+    gq, _ = compile_query(parse_xq(q))
+    plan = plan_query(gq, vdoc)
+    table = reduce_query(vdoc, gq, plan)
+    assert table.n_rows == eval_xq(vdoc, q, batched=False).n_tuples > 0
+    for wrong in ([["c", "p", "i"]], [["c"], ["p"], ["i"]]):
+        plan.components = wrong
+        with pytest.raises(AssertionError, match="plan.components"):
+            reduce_query(vdoc, gq, plan)
 
 
 def test_planner_prefers_selective_variable_first():
